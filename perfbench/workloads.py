@@ -44,7 +44,8 @@ N_ELECTRONS_PER_MOLECULE = 8.0
 #: The library's default μ-bisection cap; a step that used all of it never
 #: reached the bisection tolerance (counted as ``mu.capped_steps``).
 MAX_MU_ITERATIONS = 200
-#: Set-up is measured this many times per run and reported as the median.
+#: A trajectory's set-up is measured this many times per run and reported
+#: as the median (served_mixed: SERVED_SETUP_REPEATS).
 SETUP_REPEATS = 3
 #: Correctness gate of every trajectory step against its dense reference:
 #: |electron count - target| and |band energy - reference| per atom.  At
@@ -425,13 +426,14 @@ SERVED_WHY = (
     "32-molecule SZV boxes (seeds 2020-2023), three tenants, half "
     "grand-canonical and half canonical requests, observable sets rotating "
     "over {density}, {density,pdos}, {density,energy_weighted_density}. "
-    "DensityService with default knobs plus a decomposition cache that "
-    "outlives the run and admission limits that refuse nothing; one "
-    "request per box warms the caches untimed. Phase A: open-loop "
-    "arrivals from one generator thread at 3 req/s, gaps jittered by +-50 %, "
+    "DensityService with default knobs except two dispatch workers, plus a "
+    "decomposition cache that outlives the run and admission limits that "
+    "refuse nothing; one "
+    "request per box warms the caches untimed. Phase A: 140 open-loop "
+    "arrivals from one generator thread at 4 req/s, gaps jittered by +-25 %, "
     "each request timed from its due time. Phase B: a burst of 32 requests "
-    "submitted at once, five times. Traced, the decomposition cache hits 98 % and planning "
-    "and the eigendecomposition are bypassed, so they should not move this "
+    "submitted at once, run after each fifth of phase A. Traced, the "
+    "decomposition cache hits 98 % and planning and the eigendecomposition are bypassed, so they should not move this "
     "workload (the prediction that they would does not hold once the cache "
     "is hot); block-to-CSR conversion (0.03 s) and observable assembly "
     "(0.02 s) carry a request, and the micro-batcher, dedup, decomposition "
@@ -440,18 +442,31 @@ SERVED_WHY = (
 )
 SERVED_BOXES = 4
 SERVED_TENANTS = 3
-#: Phase A offered rate (requests/s), about a fifth of the ~15 req/s the
-#: burst reaches with hot caches on a 2-core x86 machine.
-SERVED_RATE = 3.0
-#: at least 100 timed requests, so at least 10 lie beyond the p90
-SERVED_MIN_REQUESTS = 100
+#: Open-loop offered rate (requests/s), about a quarter of the ~15 req/s
+#: the burst reaches with hot caches on a 2-core x86 machine.
+SERVED_RATE = 4.0
+#: At least 140 timed requests.  The p50 of 100 requests taken in 33 s
+#: moved by 13 % and 26 % (IQR over median) in two sets of ten seeds on a
+#: shared 2-core x86 host; more requests over a longer window average more
+#: of the host's changing load.
+SERVED_MIN_REQUESTS = 140
 SERVED_BURST = 32
-#: the burst is repeated and the throughput taken over all repeats: how a
-#: single burst splits into micro-batches depends on thread timing, and one
-#: burst's rate ranged from 13 to 19 req/s
+#: The open-loop requests are split into this many segments, each followed
+#: by a burst, and the throughput is pooled over all bursts.  How a single
+#: burst splits into micro-batches depends on thread timing (one burst ran
+#: at 13 to 19 req/s), and bursts run back to back all sampled the same few
+#: seconds of host load; spread over the run they sample all of it.
 SERVED_BURSTS = 5
+#: Service set-up (construction through the first request) is cheap, so it
+#: is sampled more often than a trajectory's.
+SERVED_SETUP_REPEATS = 5
 #: longer than a run, so the library stays cached (see SERVED_WHY)
 SERVED_TTL_S = 60.0
+#: One dispatch thread per core of the 2-core machine the workload was
+#: defined on.  Replaying one schedule three times with each count in turn
+#: in one process, the p90 ranged over 71-88 ms with the default eight and
+#: 84-85 ms with two, and the p50 over 56-64 ms and 57-60 ms.
+SERVED_DISPATCH_WORKERS = 2
 SERVED_OBSERVABLES = (
     ("density",),
     ("density", "pdos"),
@@ -485,15 +500,15 @@ def _request_mix(n: int, rng: Optional[np.random.Generator] = None):
 
 def arrival_gaps(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
     """Open-loop inter-arrival gaps: the mean gap 1/rate, jittered uniformly
-    by ±50 %.
+    by ±25 %.
 
-    The shortest gap, 1/(2·rate), is longer than the slowest request takes
+    The shortest gap, 0.75/rate, is longer than the slowest request takes
     alone, so a request waits for another only when the program stalls.
     Poisson gaps at the same rate let a few arrival clusters set the p90,
     which moved by 29 % (IQR over median) across ten seeds on a 2-core x86
     machine, beyond the benchmark's bound.
     """
-    return rng.uniform(0.5, 1.5, n) / rate
+    return rng.uniform(0.75, 1.25, n) / rate
 
 
 def identical(a, b) -> bool:
@@ -552,6 +567,50 @@ class ServedLibrary:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class ServedCheck:
+    """What the gate keeps of a served result that passed or failed it."""
+    box: int
+    kind: str
+    band_energy: float
+    n_electrons: float
+    mu_iterations: int
+
+
+class ServedGate:
+    """Gates served results bitwise against direct calls as they arrive.
+
+    Only a :class:`ServedCheck` of each result is kept: holding every
+    result until the end of the run grew the process by about 200 MB, so
+    ``peak_rss_mb`` measured the benchmark's copies rather than the service.
+    """
+
+    def __init__(self, direct):
+        self.direct = direct
+        self.attempted = 0
+        self.failed = 0
+        self.checks: List[ServedCheck] = []
+
+    def __call__(self, requests, results) -> None:
+        for (tenant, box, kind, obs), result in zip(requests, results):
+            self.attempted += 1
+            if result is None:
+                self.failed += 1
+                continue
+            reference = self.direct[box, kind]
+            names = SERVED_OBSERVABLES[obs]
+            if names == ("density",):
+                ok = identical(result, reference.results["density"])
+                density = result
+            else:
+                ok = all(identical(result.results[n], reference.results[n]) for n in names)
+                density = result.results["density"]
+            self.failed += 0 if ok else 1
+            self.checks.append(
+                ServedCheck(box, kind, density.band_energy, density.n_electrons, density.mu_iterations)
+            )
+
+
 @dataclasses.dataclass
 class ServedPass:
     setup_s: float
@@ -560,7 +619,6 @@ class ServedPass:
     latencies_s: List[float]
     gen_lag_s: List[float]
     burst_rps: float
-    results: list
     errors: List[str]
     stats: dict
 
@@ -588,121 +646,123 @@ def _collect(futures, errors) -> list:
 SETUP_REQUEST = ("setup", 0, "mu", 0)
 
 
-def _open_service(library: ServedLibrary, errors: List[str]):
-    """A new service, its set-up time through the first completed request,
-    and that request's result."""
+def _open_service(library: ServedLibrary, gate: ServedGate, errors: List[str]):
+    """A new service and its set-up time through the first completed
+    request, which is gated."""
     start = time.perf_counter()
     service = DensityService(
-        config=SERVED_CONFIG, policy=_served_policy(), decomposition_ttl=SERVED_TTL_S
+        config=SERVED_CONFIG,
+        policy=_served_policy(),
+        decomposition_ttl=SERVED_TTL_S,
+        dispatch_workers=SERVED_DISPATCH_WORKERS,
     )
     try:
-        (result,) = _collect([_submit(library, service, SETUP_REQUEST, errors)], errors)
+        results = _collect([_submit(library, service, SETUP_REQUEST, errors)], errors)
+        setup_s = time.perf_counter() - start
+        gate([SETUP_REQUEST], results)
     except BaseException:
         service.close()
         raise
-    return service, time.perf_counter() - start, result
+    return service, setup_s
 
 
-def _serve(library: ServedLibrary, warm, requests, burst) -> ServedPass:
-    """Set up a service, warm its caches, run the open-loop phase to
-    completion, then the burst."""
+def _open_loop(library, service, requests, errors):
+    """Submit ``requests`` (each ``(due, *request)``, due in seconds from
+    now) on schedule from this thread; their results, latencies from due
+    time and generator lags."""
+    done_at = [math.nan] * len(requests)
+    futures, lags = [], []
+    start = time.perf_counter()
+    for index, (due, *request) in enumerate(requests):
+        due_at = start + due
+        delay = due_at - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        lags.append(time.perf_counter() - due_at)
+        future = _submit(library, service, request, errors)
+        if future is not None:
+            future.add_done_callback(
+                lambda f, i=index: done_at.__setitem__(i, time.perf_counter())
+            )
+        futures.append(future)
+    results = _collect(futures, errors)
+    latencies = [
+        done_at[i] - (start + requests[i][0])
+        for i, result in enumerate(results)
+        if result is not None
+    ]
+    return results, latencies, lags
+
+
+def _serve(library: ServedLibrary, gate: ServedGate, warm, segments, burst) -> ServedPass:
+    """Set up a service, warm its caches, then run each open-loop segment
+    to completion followed by a burst, gating every result."""
     errors: List[str] = []
-    service, setup_s, setup_result = _open_service(library, errors)
+    service, setup_s = _open_service(library, gate, errors)
     try:
-        warm_results = _collect([_submit(library, service, r, errors) for r in warm], errors)
-        done_at = [math.nan] * len(requests)
-        futures, lags = [], []
+        gate(warm, _collect([_submit(library, service, r, errors) for r in warm], errors))
+        latencies, lags = [], []
+        burst_done, burst_seconds = 0, 0.0
         phase_start = time.perf_counter()
-        for index, (due, *request) in enumerate(requests):
-            due_at = phase_start + due
-            delay = due_at - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            lags.append(time.perf_counter() - due_at)
-            future = _submit(library, service, request, errors)
-            if future is not None:
-                future.add_done_callback(
-                    lambda f, i=index: done_at.__setitem__(i, time.perf_counter())
-                )
-            futures.append(future)
-        results = _collect(futures, errors)
-        latencies = [
-            done_at[i] - (phase_start + requests[i][0])
-            for i, result in enumerate(results)
-            if result is not None
-        ]
-        burst_results, burst_seconds = [], 0.0
-        for _ in range(SERVED_BURSTS):
+        for requests in segments:
+            segment_results, segment_latencies, segment_lags = _open_loop(
+                library, service, requests, errors
+            )
+            gate([request[1:] for request in requests], segment_results)
+            latencies += segment_latencies
+            lags += segment_lags
             burst_start = time.perf_counter()
             futures = [_submit(library, service, request, errors) for request in burst]
-            burst_results += _collect(futures, errors)
+            burst_results = _collect(futures, errors)
             burst_seconds += time.perf_counter() - burst_start
-        burst_end = time.perf_counter()
+            burst_done += sum(r is not None for r in burst_results)
+            gate(burst, burst_results)
+        phase_end = time.perf_counter()
         stats = service.stats()
     finally:
         service.close()
     return ServedPass(
         setup_s=setup_s,
         start=phase_start,
-        end=burst_end,
+        end=phase_end,
         latencies_s=latencies,
         gen_lag_s=lags,
-        burst_rps=sum(r is not None for r in burst_results) / burst_seconds,
-        results=[setup_result] + warm_results + results + burst_results,
+        burst_rps=burst_done / burst_seconds,
         errors=errors,
         stats=stats,
     )
-
-
-def _check_served(direct, mix, results):
-    """Failures and the density results, gated bitwise against direct calls."""
-    failed, densities = 0, []
-    for (tenant, box, kind, obs), result in zip(mix, results):
-        if result is None:
-            failed += 1
-            continue
-        reference = direct[box, kind]
-        names = SERVED_OBSERVABLES[obs]
-        if names == ("density",):
-            ok = identical(result, reference.results["density"])
-            density = result
-        else:
-            ok = all(identical(result.results[n], reference.results[n]) for n in names)
-            density = result.results["density"]
-        failed += 0 if ok else 1
-        densities.append((box, kind, density))
-    return failed, densities
 
 
 def run_served(seed: int, seconds: float, tracer: Optional[Tracer]) -> Outcome:
     library = ServedLibrary()
     direct, dense = library.references()
     rng = np.random.default_rng(seed)
-    n_a = max(SERVED_MIN_REQUESTS, int(round(0.9 * seconds * SERVED_RATE)))
+    n_a = max(SERVED_MIN_REQUESTS, int(round(seconds * SERVED_RATE)))
     due = np.cumsum(arrival_gaps(rng, n_a, SERVED_RATE))
     mix_a = _request_mix(n_a, rng)
     # the burst's order is fixed: how many neighbours the micro-batcher can
     # coalesce depends on it, and a seeded order moved throughput by 20 %
     mix_b = _request_mix(SERVED_BURST)
-    requests = [(float(d),) + m for d, m in zip(due, mix_a)]
+    # each segment's due times count from its own start
+    segments = []
+    for chunk in np.array_split(np.arange(n_a), SERVED_BURSTS):
+        offset = due[chunk[0] - 1] if chunk[0] else 0.0
+        segments.append([(float(due[i] - offset),) + mix_a[i] for i in chunk])
     # one request per library box fills the decomposition cache before the
-    # timed phases, so phase A measures steady state, not the cold start
+    # timed phases, so they measure steady state, not the cold start
     warm = [("warm-up", box, "mu", 0) for box in range(SERVED_BOXES)]
-    mix = [SETUP_REQUEST] + warm + mix_a + mix_b * SERVED_BURSTS
 
+    gate = ServedGate(direct)
     setups: List[float] = []
-    setup_results, setup_errors = [], []
+    setup_errors: List[str] = []
     if tracer is None:
-        for _ in range(SETUP_REPEATS - 1):
-            service, setup_s, result = _open_service(library, setup_errors)
+        for _ in range(SERVED_SETUP_REPEATS - 1):
+            service, setup_s = _open_service(library, gate, setup_errors)
             service.close()
             setups.append(setup_s)
-            setup_results.append(result)
-    plain = _serve(library, warm, requests, mix_b)
+    plain = _serve(library, gate, warm, segments, mix_b)
     setups.append(plain.setup_s)
-    mix = [SETUP_REQUEST] * len(setup_results) + mix
-    attempted = len(mix)
-    failed, _ = _check_served(direct, mix, setup_results + plain.results)
+    attempted, failed = gate.attempted, gate.failed
     end_to_end = {
         "setup_s": statistics.median(setups),
         "latency_p50_ms": 1000.0 * percentile(plain.latencies_s, 50),
@@ -712,26 +772,26 @@ def run_served(seed: int, seconds: float, tracer: Optional[Tracer]) -> Outcome:
     }
     summary = [
         f"served_mixed: {n_a} open-loop requests at {SERVED_RATE} req/s "
-        f"(p90 over {len(plain.latencies_s)} samples), {SERVED_BURSTS} bursts of "
-        f"{SERVED_BURST}, {attempted} requests in all, "
+        f"(p90 over {len(plain.latencies_s)} samples) in {SERVED_BURSTS} segments, "
+        f"each followed by a burst of {SERVED_BURST}, {attempted} requests in all, "
         f"{failed} failed; setup samples {[round(s, 3) for s in setups]}",
     ] + [f"  error: {e}" for e in (setup_errors + plain.errors)[:5]]
     outcome = Outcome(attempted, failed, end_to_end, {}, summary=summary)
     if tracer is not None:
+        traced_gate = ServedGate(direct)
         with tracer:
-            traced = _serve(library, warm, requests, mix_b)
-        t_failed, t_densities = _check_served(direct, mix, traced.results)
-        outcome.attempted += len(traced.results)
-        outcome.failed += t_failed
+            traced = _serve(library, traced_gate, warm, segments, mix_b)
+        outcome.attempted += traced_gate.attempted
+        outcome.failed += traced_gate.failed
         outcome.per_layer = _served_layers(
-            plain, traced, tracer, library, dense, t_densities,
-            len(requests) + len(mix_b) * SERVED_BURSTS,
+            plain, traced, tracer, library, dense, traced_gate.checks,
+            n_a + len(mix_b) * SERVED_BURSTS,
         )
         outcome.trace, outcome.trace_origin = tracer, traced.start
     return outcome
 
 
-def _served_layers(plain, traced, tracer, library, dense, densities, n_requests) -> Dict[str, float]:
+def _served_layers(plain, traced, tracer, library, dense, checks, n_requests) -> Dict[str, float]:
     layers = tracer.self_intervals()
     window = (traced.start, traced.end)
 
@@ -757,10 +817,10 @@ def _served_layers(plain, traced, tracer, library, dense, densities, n_requests)
     cache = stats["plan_cache"]
     decomposition = stats.get("decomposition_cache") or {}
     d_lookups = decomposition.get("hits", 0) + decomposition.get("misses", 0)
-    canonical = [d for box, kind, d in densities if kind == "n_electrons"]
+    canonical = [c for c in checks if c.kind == "n_electrons"]
     energy_err = max(
-        1000.0 * abs(d.band_energy - dense[box, kind].band_energy) / library.n_atoms
-        for box, kind, d in densities
+        1000.0 * abs(c.band_energy - dense[c.box, c.kind].band_energy) / library.n_atoms
+        for c in checks
     )
     out.update(
         {
